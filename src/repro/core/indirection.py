@@ -140,23 +140,32 @@ class FactorizedFilter:
     def execute_vectorized(self, windows: np.ndarray) -> np.ndarray:
         """Evaluate many windows at once (spatial vectorization analogue).
 
+        Runs the engine's segment-scan kernel with the activation groups
+        as segments and the weight buffer as the weight schedule.
+
         Args:
             windows: ``(num_windows, filter_size)`` integer matrix.
 
         Returns:
             ``(num_windows,)`` dot products.
         """
-        windows = np.asarray(windows, dtype=np.int64)
-        if windows.ndim != 2 or windows.shape[1] != self.filter_size:
-            raise ValueError(f"windows must be (n, {self.filter_size})")
-        gathered = windows[:, self.iit]  # (n, entries) in group order
-        boundaries = np.flatnonzero(self.wit)
-        # Sum each group via cumulative-sum differences at boundaries.
-        csum = np.cumsum(gathered, axis=1, dtype=np.int64)
-        ends = csum[:, boundaries]
-        starts = np.concatenate([np.zeros((windows.shape[0], 1), dtype=np.int64), ends[:, :-1]], axis=1)
-        sums = ends - starts
-        return sums @ self.weight_buffer.astype(np.int64)
+        from repro.engine.executor import _validated_windows, scan_segments
+        from repro.engine.program import SegmentPass, _segment_starts
+
+        windows = _validated_windows(windows, self.filter_size)
+        out = np.zeros((1, windows.shape[0]), dtype=np.int64)
+        if self.num_entries:
+            single = np.zeros(1, dtype=np.int64)
+            group = SegmentPass(
+                level=0,
+                seg_starts=_segment_starts(np.flatnonzero(self.wit)),
+                weights=self.weight_buffer,
+                mac_mask=self.weight_buffer != 0,
+                filter_starts=single,
+                filter_ids=single,
+            )
+            scan_segments(self.iit, (group,), windows, out)
+        return out[0]
 
 
 def factorize_filter(

@@ -16,6 +16,10 @@ The engine makes the factorized path the *fast* path, at two scales:
   scan across filter-group shards, and a sparse-activation gather mode
   — bit-exact against the per-layer path.
 
+Both scales run the same windows-major kernel,
+:func:`repro.engine.executor.scan_segments` — the package's only
+gather → segment-sum → weight → filter-fold implementation.
+
 Typical use::
 
     from repro.engine import compiled_layer_for, compile_network

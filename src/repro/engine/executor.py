@@ -1,38 +1,41 @@
-"""Segment-scan executor for compiled table programs.
+"""The segment-scan kernel and the per-layer executor built on it.
 
-One :func:`execute_program` call evaluates a :class:`TableProgram` over
-every window at once with three vectorized primitives per level:
+:func:`scan_segments` is the engine's only implementation of UCNN's
+inner loop.  It evaluates a program's passes over a windows-major
+``(W, N)`` block with three vectorized primitives per level:
 
-1. **gather** — ``windows[:, program.gather]`` materializes the
-   traversal-ordered activation stream for all windows in one indexed
-   copy;
+1. **gather** — the traversal-ordered activation stream of every window
+   in one indexed copy;
 2. **segment sum** — ``np.add.reduceat`` over ``seg_starts`` folds the
    stream into per-segment sums (the accumulator Á/Â of the walk);
 3. **weight + filter fold** — an elementwise multiply by the weight
-   schedule followed by a second ``reduceat`` over ``filter_starts``
-   yields each filter's dot product.
+   schedule and a second ``reduceat`` over ``filter_starts`` yield each
+   filter's dot product, written into the caller's ``(K, W)`` view.
 
-All arithmetic is int64, so results are bit-identical to the per-entry
-walk and the dense matmul (both compute the same value mod 2**64).
+:func:`execute_program` (the per-layer path), the fused executor of
+:mod:`repro.engine.fusion` (one call per filter-group shard) and
+:meth:`repro.core.indirection.FactorizedFilter.execute_vectorized` all
+run it.  All arithmetic is int64, so results are bit-identical to the
+per-entry walk and the dense matmul (the same value mod 2**64).
 
-Windows are processed in chunks bounding the gathered matrix to roughly
-:data:`CHUNK_BUDGET_ELEMS` elements, so arbitrarily large batches (a
-whole layer's slide positions, or many images' worth) run in constant
+Given a ``live`` mask, the kernel drops gather entries whose activation
+is zero in *every* window of the block before the scan — a zero adds
+nothing to an int64 sum, so only wasted gathers and adds are skipped
+(ReuseSense-style activation reuse on top of UCNN's weight reuse).
+Segments left empty are zeroed after the scan, since ``reduceat``
+would otherwise leak the next segment's first element into them.  The
+fused executor owns the policy
+(:data:`repro.engine.fusion.SPARSE_AUTO_MIN_ZERO_FRACTION`); the
+per-layer executor never compresses.
+
+:func:`execute_program` chunks windows so the gathered matrix stays
+near :data:`CHUNK_BUDGET_ELEMS` elements, so any batch runs in constant
 memory.
-
-The executor also has a **sparse-activation gather mode**
-(``sparse=True`` / ``sparse="auto"``): gather entries whose source
-activation is zero in *every* window of a chunk are dropped from the
-stream before the segment scan.  A zero contributes exactly zero to an
-int64 segment sum, so compression never changes a single output bit —
-it only skips the gathers and adds the datapath would have wasted on
-dead activations (ReuseSense-style activation reuse layered on UCNN's
-weight reuse).  Segments whose entries are all dropped are zeroed
-explicitly after the scan (``np.add.reduceat`` would otherwise leak the
-neighbouring segment's first element into them).
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -40,10 +43,6 @@ from repro.engine.program import SegmentPass, TableProgram
 
 #: Target size (int64 elements) of one chunk's gathered matrix (~64 MiB).
 CHUNK_BUDGET_ELEMS = 8_000_000
-
-#: ``sparse="auto"`` engages compression only when at least this
-#: fraction of a chunk's gather entries reads a dead activation.
-SPARSE_MIN_DEAD_FRACTION = 0.25
 
 
 def _validated_windows(windows: np.ndarray, filter_size: int) -> np.ndarray:
@@ -84,7 +83,7 @@ def compressed_segments(
     tail of the stream maps there, and clamping it lower would steal
     the last entry from the preceding live segment (reduceat ends
     segment ``i`` at ``starts[i + 1]``).  Callers must therefore pad
-    the compressed stream with one zero sentinel row at index
+    the compressed stream with one zero sentinel column at index
     ``total`` before reducing with these offsets.
     """
     raw = prefix[seg_starts]
@@ -94,33 +93,73 @@ def compressed_segments(
     return raw, raw == ends
 
 
-def _run_pass(
-    gathered: np.ndarray,
-    p: SegmentPass,
+def scan_segments(
+    gather: np.ndarray,
+    passes: Sequence[SegmentPass],
+    block: np.ndarray,
     out: np.ndarray,
-    lo: int,
-    hi: int,
-    prefix: np.ndarray | None,
-    total: int,
+    live: np.ndarray | None = None,
+    gather_buf: np.ndarray | None = None,
+    seg_buf: np.ndarray | None = None,
 ) -> None:
-    """Execute one segment pass over a gathered chunk into ``out``."""
-    if prefix is None:
-        seg = np.add.reduceat(gathered, p.seg_starts, axis=1)
+    """Run one program's segment scan over a block of windows.
+
+    Args:
+        gather: the program's gather indices into a window (int64).
+        passes: the program's :class:`SegmentPass` sequence.
+        block: ``(W, N)`` int64 windows, any strides.
+        out: ``(K, W)`` int64 output view; row ``p.filter_ids[i]`` of
+            each pass is overwritten.  Rows no pass writes are left
+            untouched (the caller zeroes them).
+        live: optional ``(N,)`` boolean mask, False where the window
+            position is zero in every row of ``block``.  Gather entries
+            reading a dead position are dropped (bit-identical).
+        gather_buf, seg_buf: optional flat int64 scratch holding at
+            least ``W * len(gather)`` and ``W * max segments`` elements;
+            the kernel allocates when they are omitted.  ``gather_buf``
+            requires a C-contiguous ``block`` (take copies any other).
+    """
+    width = block.shape[0]
+    prefix = None
+    total = gather.size
+    if live is not None:
+        keep = live[gather]
+        kept = int(np.count_nonzero(keep))
+        if kept == 0:
+            out[...] = 0
+            return
+        if kept < total:
+            prefix = np.zeros(total + 1, dtype=np.int64)
+            np.cumsum(keep, out=prefix[1:])
+            # The zero sentinel column at index ``kept`` that
+            # compressed_segments needs: any dropped entry reads a
+            # position that is zero in every window.
+            gather = np.append(gather[keep], gather[~keep][0])
+            total = kept
+    if gather_buf is None:
+        gathered = block[:, gather]
     else:
-        starts, empty = compressed_segments(p.seg_starts, prefix, total)
-        seg = np.add.reduceat(gathered, starts, axis=1)
-        if empty.any():
+        # ``mode="clip"`` lets take write straight into the scratch (the
+        # default mode buffers ``out``); every index is in range.
+        gathered = gather_buf[: width * gather.size].reshape(width, gather.size)
+        np.take(block, gather, axis=1, out=gathered, mode="clip")
+    for p in passes:
+        if prefix is None:
+            starts, empty = p.seg_starts, None
+        else:
+            starts, empty = compressed_segments(p.seg_starts, prefix, total)
+        seg = None if seg_buf is None else seg_buf[: width * starts.size].reshape(width, starts.size)
+        seg = np.add.reduceat(gathered, starts, axis=1, out=seg)
+        if empty is not None and empty.any():
             seg[:, empty] = 0
-    np.multiply(seg, p.weights, out=seg)
-    per_filter = np.add.reduceat(seg, p.filter_starts, axis=1)
-    out[p.filter_ids, lo:hi] = per_filter.T
+        seg *= p.weights
+        out[p.filter_ids] = np.add.reduceat(seg, p.filter_starts, axis=1).T
 
 
 def execute_program(
     program: TableProgram,
     windows: np.ndarray,
     chunk: int | None = None,
-    sparse: bool | str = False,
 ) -> np.ndarray:
     """Evaluate a compiled program over a batch of windows.
 
@@ -129,55 +168,20 @@ def execute_program(
         windows: ``(n, N)`` integer matrix of flattened input tiles.
         chunk: windows per chunk (default: sized so the gathered matrix
             stays near :data:`CHUNK_BUDGET_ELEMS` elements).
-        sparse: the sparse-activation gather mode.  ``False`` (default)
-            always gathers the full stream; ``True`` drops gather
-            entries whose source activation is zero across the whole
-            chunk; ``"auto"`` measures each chunk and compresses only
-            when at least :data:`SPARSE_MIN_DEAD_FRACTION` of the
-            entries are dead.  Every mode is bit-identical — zeros
-            contribute nothing to int64 segment sums.
 
     Returns:
         ``(K, n)`` int64 dot products, bit-identical to walking each
         group's tables per window.
 
     Raises:
-        ValueError: on shape mismatch, non-integer windows, or an
-            unrecognized ``sparse`` mode.
+        ValueError: on shape mismatch or non-integer windows.
     """
-    if sparse not in (False, True, "auto"):
-        raise ValueError(f"sparse must be False, True, or 'auto', got {sparse!r}")
     windows = _validated_windows(windows, program.filter_size)
     n = windows.shape[0]
     out = np.zeros((program.num_filters, n), dtype=np.int64)
-    entries = program.num_entries
-    if entries == 0 or n == 0:
-        return out
     if chunk is None:
-        chunk = max(1, CHUNK_BUDGET_ELEMS // entries)
+        chunk = max(1, CHUNK_BUDGET_ELEMS // max(1, program.num_entries))
     for lo in range(0, n, chunk):
-        block = windows[lo : lo + chunk]
-        hi = lo + block.shape[0]
-        prefix = None
-        total = entries
-        gather = program.gather
-        if sparse is not False:
-            keep = block.any(axis=0)[program.gather]
-            dead = entries - int(np.count_nonzero(keep))
-            if dead == entries:
-                continue  # every activation is zero: outputs stay 0
-            if dead and (sparse is True or dead >= entries * SPARSE_MIN_DEAD_FRACTION):
-                prefix = np.zeros(entries + 1, dtype=np.int64)
-                np.cumsum(keep, out=prefix[1:])
-                total = int(prefix[-1])
-                gather = program.gather[keep]
-        if prefix is None:
-            gathered = block[:, gather]
-        else:
-            # One zero sentinel column at index ``total``: segment
-            # offsets from compressed_segments may point there.
-            gathered = np.zeros((block.shape[0], total + 1), dtype=np.int64)
-            gathered[:, :total] = block[:, gather]
-        for p in program.passes:
-            _run_pass(gathered, p, out, lo, hi, prefix, total)
+        hi = lo + chunk
+        scan_segments(program.gather, program.passes, windows[lo:hi], out[:, lo:hi])
     return out

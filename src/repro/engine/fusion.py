@@ -9,17 +9,23 @@ without returning to per-layer Python dispatch:
   layer's compiled segment-scan programs, pre-sharded across filter
   groups so a thread pool can fan each layer's scan out (NumPy releases
   the GIL inside ``take``/``reduceat``, so shards genuinely overlap);
+  each shard runs the engine's one scan kernel,
+  :func:`repro.engine.executor.scan_segments`, on its own output rows;
 * intermediate activations live in two ping-pong buffers sized by an
   :class:`BufferPlan` at compile time — no per-layer allocation, and no
   per-layer ``(N, C, H, W) <-> (C, N, H, W)`` transposes: the fused
   pipeline keeps activations in channel-major ``(C, n, H, W)`` layout
   end to end and converts exactly once on entry and once on exit;
 * the im2col unfold is batched — one strided copy per (r, s) tap for
-  the whole image slice, instead of one Python-level unfold per image;
+  the whole image slice, instead of one Python-level unfold per image —
+  and writes windows-major ``(n*windows, C*R*S)`` columns, the layout
+  the kernel scans;
 * a **sparse-activation gather mode** (``sparse="auto"``, the default)
   drops gather entries whose source activation is zero across the
   slice — ReuseSense-style activation reuse layered on UCNN's weight
   reuse, bit-exact because zeros contribute nothing to int64 sums.
+  This module owns the policy (:data:`SPARSE_AUTO_MIN_ZERO_FRACTION`);
+  the kernel does the compression.
 
 All arithmetic is int64: the fused output is bit-identical to
 ``Network.forward_batch(fused=False)`` and to stacking
@@ -44,7 +50,6 @@ import numpy as np
 
 from repro.core.indirection import DEFAULT_MAX_GROUP_SIZE
 from repro.engine import executor as _executor
-from repro.engine.executor import compressed_segments
 from repro.engine.program import (
     TableProgram,
     _cached,
@@ -590,11 +595,13 @@ class _Scratch:
 
 
 def _unfold(step: ConvStep, cur: np.ndarray, scratch: _Scratch) -> np.ndarray:
-    """Batched im2col in channel-major layout: ``(C*R*S, ns*windows)``.
+    """Batched im2col in windows-major layout: ``(ns*windows, C*R*S)``.
 
     One strided copy per (r, s) tap for the whole slice, against the
-    per-image Python unfold of the per-layer path.  Row ordering matches
-    :func:`repro.nn.reference.im2col` exactly (``c*R*S + rr*S + ss``).
+    per-image Python unfold of the per-layer path.  Column ordering
+    matches :func:`repro.nn.reference.im2col` exactly
+    (``c*R*S + rr*S + ss``), and rows run image by image, then output
+    row by output column.
     """
     c, h, w = step.in_shape
     ns = cur.shape[1]
@@ -608,67 +615,14 @@ def _unfold(step: ConvStep, cur: np.ndarray, scratch: _Scratch) -> np.ndarray:
     else:
         padded = cur
     oh, ow = step.out_shape[1], step.out_shape[2]
-    cols = scratch.cols[: step.filter_size * ns * oh * ow].reshape(c, step.r, step.s, ns, oh, ow)
+    cols = scratch.cols[: ns * oh * ow * step.filter_size].reshape(ns, oh, ow, c, step.r, step.s)
     for rr in range(step.r):
         for ss in range(step.s):
-            cols[:, rr, ss] = padded[
+            tap = padded[
                 :, :, ss : ss + oh * step.stride : step.stride, rr : rr + ow * step.stride : step.stride
             ]
-    return cols.reshape(step.filter_size, ns * oh * ow)
-
-
-def _run_shard(
-    spec: ShardSpec,
-    cols: np.ndarray,
-    out2d: np.ndarray,
-    live: np.ndarray | None,
-    gather_buf: np.ndarray,
-    seg_buf: np.ndarray,
-) -> None:
-    """Execute one shard's segment scan over the shared column matrix."""
-    width = cols.shape[1]
-    if spec.zero_rows.size:
-        out2d[spec.zero_rows] = 0
-    program = spec.program
-    entries = program.num_entries
-    if entries == 0:
-        return  # all groups empty: zero_rows covered every row
-    gather = program.gather
-    prefix = None
-    total = entries
-    if live is not None:
-        keep = live[gather]
-        kept = int(np.count_nonzero(keep))
-        if kept == 0:
-            out2d[spec.row_lo : spec.row_hi] = 0
-            return
-        if kept < entries:
-            prefix = np.zeros(entries + 1, dtype=np.int64)
-            np.cumsum(keep, out=prefix[1:])
-            total = kept
-            gather = gather[keep]
-    if prefix is None:
-        gathered = gather_buf[: total * width].reshape(total, width)
-        np.take(cols, gather, axis=0, out=gathered)
-    else:
-        # One zero sentinel row at index ``total``: segment offsets
-        # from compressed_segments may point there.  Fits the scratch
-        # buffer because compression only runs when kept < entries.
-        gathered = gather_buf[: (total + 1) * width].reshape(total + 1, width)
-        np.take(cols, gather, axis=0, out=gathered[:total])
-        gathered[total] = 0
-    for p in program.passes:
-        if prefix is None:
-            starts, empty = p.seg_starts, None
-        else:
-            starts, empty = compressed_segments(p.seg_starts, prefix, total)
-        seg = seg_buf[: starts.size * width].reshape(starts.size, width)
-        np.add.reduceat(gathered, starts, axis=0, out=seg)
-        if empty is not None and empty.any():
-            seg[empty] = 0
-        seg *= p.weights[:, None]
-        per_filter = np.add.reduceat(seg, p.filter_starts, axis=0)
-        out2d[spec.row_lo + p.filter_ids] = per_filter
+            cols[..., rr, ss] = tap.transpose(1, 2, 3, 0)
+    return cols.reshape(ns * oh * ow, step.filter_size)
 
 
 def _apply_conv(
@@ -685,29 +639,44 @@ def _apply_conv(
     cols = _unfold(step, cur, scratch)
     live = None
     if sparse is True:
-        live = cols.any(axis=1)
+        live = cols.any(axis=0)
     elif sparse == "auto":
         zero_frac = 1.0 - np.count_nonzero(cur) / cur.size
         if zero_frac >= SPARSE_AUTO_MIN_ZERO_FRACTION:
-            live = cols.any(axis=1)
+            live = cols.any(axis=0)
     if live is not None and live.all():
         live = None
     out2d = out.reshape(step.out_shape[0], ns * step.windows)
     if pool is not None and len(step.shards) > 1:
         futures = [
-            pool.submit(_run_shard_list, step.shards[slot::workers], cols, out2d, live, scratch, slot)
+            pool.submit(_run_shards, step.shards[slot::workers], cols, out2d, live, scratch, slot)
             for slot in range(min(workers, len(step.shards)))
         ]
         for future in futures:
             future.result()
     else:
-        _run_shard_list(step.shards, cols, out2d, live, scratch, 0)
+        _run_shards(step.shards, cols, out2d, live, scratch, 0)
 
 
-def _run_shard_list(shards, cols, out2d, live, scratch: _Scratch, slot: int) -> None:
-    """Run a worker's shard share sequentially on its own scratch pair."""
+def _run_shards(shards, cols, out2d, live, scratch: _Scratch, slot: int) -> None:
+    """Run a worker's shard share sequentially on its own scratch pair.
+
+    Each shard writes only its own rows ``[row_lo, row_hi)``; rows of
+    filter groups with no table entries are zeroed here because no pass
+    writes them and the output buffer is reused.
+    """
     for spec in shards:
-        _run_shard(spec, cols, out2d, live, scratch.gather[slot], scratch.seg[slot])
+        out2d[spec.zero_rows] = 0
+        program = spec.program
+        _executor.scan_segments(
+            program.gather,
+            program.passes,
+            cols,
+            out2d[spec.row_lo : spec.row_hi],
+            live=live,
+            gather_buf=scratch.gather[slot],
+            seg_buf=scratch.seg[slot],
+        )
 
 
 def _apply_pool(step: PoolStep, cur: np.ndarray, out: np.ndarray) -> None:

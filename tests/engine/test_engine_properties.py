@@ -76,6 +76,11 @@ def test_engine_equals_walk_equals_dense(case):
     engine_out = program.run(windows)
     dense = filters @ windows.T
     assert np.array_equal(engine_out, dense)
+    assert np.array_equal(program.run(windows, chunk=1), dense)
+    # The strided (n, N) view of (N, n) im2col columns that the
+    # per-layer conv paths pass.
+    columns = np.ascontiguousarray(windows.T)
+    assert np.array_equal(program.run(columns.T), dense)
     for i in range(windows.shape[0]):
         assert np.array_equal(engine_out[:, i], tables.execute(windows[i]))
 
