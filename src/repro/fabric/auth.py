@@ -114,11 +114,12 @@ def sign_message(secret: str | None, message: dict) -> dict:
 def verify_message(secret: str, message: dict) -> bool:
     """Whether a wire request's ``auth`` field proves fleet membership.
 
-    Constant-time comparison; any malformed field reads as a bad
-    signature rather than an exception.
+    Constant-time comparison; any malformed field (non-string or
+    non-ASCII ``auth`` included) reads as a bad signature rather than an
+    exception.
     """
     signature = message.get("auth")
-    if not isinstance(signature, str):
+    if not isinstance(signature, str) or not signature.isascii():
         return False
     try:
         expected = message_signature(
@@ -148,11 +149,14 @@ def http_auth_header(secret: str, method: str, path: str, body: bytes = b"") -> 
 
 def verify_http(secret: str, method: str, path: str, body: bytes,
                 header: str | None) -> bool:
-    """Whether an ``Authorization`` header authenticates a peer request."""
+    """Whether an ``Authorization`` header authenticates a peer request.
+
+    A missing, malformed or non-ASCII header reads as a bad signature.
+    """
     if not header:
         return False
     scheme, _, signature = header.partition(" ")
-    if scheme != HTTP_SCHEME or not signature:
+    signature = signature.strip()
+    if scheme != HTTP_SCHEME or not signature or not signature.isascii():
         return False
-    return hmac.compare_digest(
-        signature.strip(), http_signature(secret, method, path, body))
+    return hmac.compare_digest(signature, http_signature(secret, method, path, body))

@@ -8,33 +8,25 @@ Request lifecycle (see ``docs/architecture.md`` for the full diagram)::
         cache miss -> micro-batcher -> consistent-hash shard -> worker
                       -> cache.put -> respond
 
-Every connection is handled concurrently, and each request line spawns
-its own task, so one slow design point never blocks cache hits queued
-behind it on the same connection.
+Sockets, pipelining, HMAC and the request envelope come from
+:class:`repro.serve.lineserver.LineServer`; this module adds only the
+cache fast path and the shard fan-out behind :meth:`Server.dispatch`.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
-import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
 
-from repro.fabric.auth import verify_message
-from repro.fabric.tls import TLSConfig, default_tls
+from repro.fabric.tls import TLSConfig
 from repro.runtime.cache import MISS, ResultCache, fn_identity
 from repro.runtime.tiers import TieredCache
 from repro.serve import endpoints as endpoints_mod
 from repro.serve.batcher import MicroBatcher
-from repro.serve.protocol import (
-    MAX_LINE_BYTES,
-    ProtocolError,
-    decode_message,
-    encode_message,
-    to_jsonable,
-)
+from repro.serve.lineserver import LineServer, LineStats, LoopHandle
+from repro.serve.protocol import to_jsonable
 from repro.serve.router import ShardRouter
 from repro.serve.shards import MODES, ShardPool
 
@@ -106,32 +98,19 @@ class ServeConfig:
 
 
 @dataclass
-class ServeStats:
+class ServeStats(LineStats):
     """Liveness counters, exposed via the ``_stats`` meta endpoint."""
 
-    requests: int = 0
     hits: int = 0
     misses: int = 0
     coalesced: int = 0
-    errors: int = 0
-    auth_rejected: int = 0
     batches: int = 0
     per_shard: dict = field(default_factory=dict)
 
     def snapshot(self) -> dict:
         """Plain-dict copy (including derived hit rate) for the wire."""
         served = self.hits + self.misses + self.coalesced
-        return {
-            "requests": self.requests,
-            "hits": self.hits,
-            "misses": self.misses,
-            "coalesced": self.coalesced,
-            "errors": self.errors,
-            "auth_rejected": self.auth_rejected,
-            "batches": self.batches,
-            "per_shard": dict(self.per_shard),
-            "hit_rate": self.hits / served if served else 0.0,
-        }
+        return {**super().snapshot(), "hit_rate": self.hits / served if served else 0.0}
 
 
 @dataclass
@@ -146,8 +125,8 @@ class _Pending:
     shard: int = 0
 
 
-class Server:
-    """The asyncio serving loop: sockets, cache fast path, shard fan-out.
+class Server(LineServer):
+    """The asyncio serving loop: cache fast path and shard fan-out.
 
     Args:
         config: see :class:`ServeConfig`.
@@ -159,7 +138,7 @@ class Server:
     """
 
     def __init__(self, config: ServeConfig | None = None, cache: ResultCache | None = None):
-        self.config = config or ServeConfig()
+        super().__init__(config or ServeConfig(), ServeStats())
         self._owns_cache = cache is None
         if cache is not None:
             self.cache = cache
@@ -174,7 +153,6 @@ class Server:
         else:
             self.cache = ResultCache(
                 root=self.config.cache_dir, max_bytes=self.config.cache_max_bytes)
-        self.stats = ServeStats()
         self.router = ShardRouter(self.config.workers)
         self.pool = ShardPool(self.config.workers, mode=self.config.mode)
         self.batcher = MicroBatcher(
@@ -182,7 +160,6 @@ class Server:
             max_batch=self.config.max_batch,
             max_delay=self.config.max_delay_ms / 1000.0,
         )
-        self.port: int | None = None
         self.programs_prewarmed: dict | None = None
         # Optional callable merged into stats_snapshot(): a wrapper
         # (e.g. a fabric WorkerNode) exposes its own gauges over the
@@ -190,8 +167,6 @@ class Server:
         self.extra_stats = None
         self._program_tier = None
         self._inflight: dict[str, asyncio.Future] = {}
-        self._server: asyncio.base_events.Server | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
         # Strong references: the loop only weakly references tasks, so
         # an un-retained shard task could be garbage-collected mid-batch
         # and leave every future in that batch unresolved.
@@ -252,28 +227,11 @@ class Server:
             loop = asyncio.get_running_loop()
             self.programs_prewarmed = await loop.run_in_executor(
                 None, self._prewarm_programs)
-        resolved_tls = default_tls(self.config.tls)
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port,
-            limit=MAX_LINE_BYTES,
-            ssl=resolved_tls.server_context() if resolved_tls is not None else None)
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def serve_forever(self) -> None:
-        """Accept connections until cancelled (call :meth:`start` first)."""
-        assert self._server is not None, "call start() before serve_forever()"
-        async with self._server:
-            await self._server.serve_forever()
+        await super().start()
 
     async def aclose(self) -> None:
         """Stop accepting, drop open connections, flush, stop the pool."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        await super().aclose()
         await self.batcher.aclose()
         if self._shard_tasks:
             await asyncio.gather(*self._shard_tasks, return_exceptions=True)
@@ -293,99 +251,13 @@ class Server:
                 None, self._program_tier.close)
             self._program_tier = None
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        conn_task = asyncio.current_task()
-        if conn_task is not None:
-            self._conn_tasks.add(conn_task)
-            conn_task.add_done_callback(self._conn_tasks.discard)
-        write_lock = asyncio.Lock()
-        tasks: set[asyncio.Task] = set()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._write(writer, write_lock, {
-                        "id": -1, "ok": False, "error": "request line too long"})
-                    break
-                if not line:
-                    break
-                task = asyncio.ensure_future(
-                    self._serve_line(line, writer, write_lock))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        except asyncio.CancelledError:
-            pass  # server shutdown: close the connection and exit cleanly
-        finally:
-            if tasks:
-                for task in tasks:
-                    task.cancel()
-                await asyncio.gather(*tasks, return_exceptions=True)
-            writer.close()
-            with contextlib.suppress(Exception, asyncio.CancelledError):
-                await writer.wait_closed()
-
-    async def _serve_line(self, line: bytes, writer: asyncio.StreamWriter,
-                          write_lock: asyncio.Lock) -> None:
-        response = await self._handle_request(line)
-        await self._write(writer, write_lock, response)
-
-    async def _write(self, writer: asyncio.StreamWriter, lock: asyncio.Lock,
-                     payload: dict) -> None:
-        try:
-            data = encode_message(payload)
-        except (TypeError, ValueError):
-            # A custom endpoint returned something json can't encode;
-            # the client must still get *a* response for this id.
-            self.stats.errors += 1
-            data = encode_message({
-                "id": payload.get("id", -1), "ok": False,
-                "error": "endpoint returned a value that is not JSON-serializable"})
-        async with lock:
-            writer.write(data)
-            with contextlib.suppress(ConnectionError):
-                await writer.drain()
-
-    async def _handle_request(self, line: bytes) -> dict:
-        started = time.perf_counter()
-        self.stats.requests += 1
-        rid = -1
-        try:
-            message = decode_message(line)
-            rid = message.get("id", -1)
-            name = message.get("endpoint")
-            kwargs = message.get("kwargs") or {}
-            if not isinstance(name, str):
-                raise ProtocolError("missing 'endpoint'")
-            if not isinstance(kwargs, dict):
-                raise ProtocolError("'kwargs' must be an object")
-            if self.config.auth_secret is not None and not verify_message(
-                    self.config.auth_secret, message):
-                # Before resolving the endpoint, touching the cache, or
-                # running anything: an unauthenticated caller gets one
-                # refusal line and nothing else.
-                self.stats.auth_rejected += 1
-                return {"id": rid, "ok": False, "status": 401,
-                        "error": "unauthenticated: missing or bad 'auth' signature"}
-            if name == "_stats":
-                return self._ok(rid, self.stats_snapshot(), started)
-            if name == "_endpoints":
-                return self._ok(rid, list(endpoints_mod.endpoint_names()), started)
-            if name == "ping":
-                # Liveness probe: answered inline so it reflects event-loop
-                # health alone, never blocks on (or writes junk into) the
-                # cache or a wedged shard pool.
-                return self._ok(rid, {"pong": kwargs.get("payload")}, started)
-            fn = endpoints_mod.resolve(name)
-            return await self._serve_point(rid, name, fn, kwargs, started)
-        except (ProtocolError, KeyError, TypeError, ValueError) as exc:
-            self.stats.errors += 1
-            return {"id": rid, "ok": False,
-                    "error": str(exc.args[0]) if exc.args else repr(exc)}
-        except Exception as exc:  # endpoint raised: report, don't crash
-            self.stats.errors += 1
-            return {"id": rid, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
+    async def dispatch(self, rid: int, name: str, kwargs: dict, message: dict,
+                       started: float) -> dict:
+        """Resolve ``name`` to an endpoint and serve it through the cache."""
+        if name == "_endpoints":
+            return self._ok(rid, list(endpoints_mod.endpoint_names()), started)
+        fn = endpoints_mod.resolve(name)
+        return await self._serve_point(rid, name, fn, kwargs, started)
 
     async def _serve_point(self, rid: int, name: str, fn, kwargs: dict,
                            started: float) -> dict:
@@ -498,7 +370,7 @@ class Server:
         }
 
 
-class ServerHandle:
+class ServerHandle(LoopHandle):
     """Runs a :class:`Server` event loop on a daemon thread.
 
     The synchronous entry point examples, tests, and ``repro
@@ -515,69 +387,4 @@ class ServerHandle:
     def __init__(self, config: ServeConfig | None = None, cache: ResultCache | None = None):
         self.config = config or ServeConfig()
         self.server = Server(self.config, cache=cache)
-        self.port: int | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._startup_error: BaseException | None = None
-
-    def start(self) -> ServerHandle:
-        """Start the loop thread; blocks until the socket is bound.
-
-        Raises:
-            RuntimeError: if already started.
-            OSError: if the bind fails (re-raised from the loop thread).
-        """
-        if self._thread is not None:
-            raise RuntimeError("server already started")
-        self._thread = threading.Thread(
-            target=self._run, name="repro-serve", daemon=True)
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            self._thread.join()
-            raise self._startup_error
-        return self
-
-    def stop(self) -> None:
-        """Signal shutdown and join the loop thread (idempotent)."""
-        if self._thread is None:
-            return
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join()
-        self._thread = None
-
-    def stats(self) -> dict:
-        """Snapshot of the server's counters (thread-safe read).
-
-        Includes the ``tier`` sub-dict when the server runs a
-        :class:`~repro.runtime.tiers.TieredCache`.
-        """
-        return self.server.stats_snapshot()
-
-    def __enter__(self) -> ServerHandle:
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    def _run(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        try:
-            await self.server.start()
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self.port = self.server.port
-        self._ready.set()
-        try:
-            await self._stop.wait()
-        finally:
-            await self.server.aclose()
+        super().__init__(self.server)

@@ -1,5 +1,7 @@
 """Tests for fabric HMAC signing and priority normalization."""
 
+import http.client
+
 import pytest
 
 from repro.fabric import auth
@@ -44,6 +46,13 @@ class TestMessageAuth:
         assert not auth.verify_message("secret", {"endpoint": "ping", "auth": 42})
         assert not auth.verify_message("secret", {"endpoint": "ping", "auth": ["x"]})
 
+    @pytest.mark.parametrize("signature", ["\u00e9", "a" * 63 + "\u00e9", "\u2603" * 64],
+                             ids=["one-char", "ascii-prefix", "full-length"])
+    def test_non_ascii_signature_is_a_bad_signature(self, signature):
+        """hmac.compare_digest raises on non-ASCII str; that must read as False."""
+        message = {"endpoint": "ping", "kwargs": {}, "auth": signature}
+        assert auth.verify_message("secret", message) is False
+
     def test_default_and_explicit_priority_agree(self):
         """Omitting priority and sending "normal" must verify identically."""
         implicit = auth.message_signature("s", "e", {"a": 1})
@@ -75,6 +84,26 @@ class TestHTTPAuth:
         assert not auth.verify_http("secret", "GET", "/", b"", "")
         assert not auth.verify_http("secret", "GET", "/", b"", "Bearer abc")
         assert not auth.verify_http("secret", "GET", "/", b"", auth.HTTP_SCHEME)
+
+    def test_non_ascii_signature_is_a_bad_signature(self):
+        header = f"{auth.HTTP_SCHEME} \u00e9"
+        assert auth.verify_http("secret", "GET", "/stats", b"", header) is False
+
+    def test_cache_peer_answers_non_ascii_signature_with_401(self, tmp_path):
+        from repro.runtime.peer import CachePeer
+
+        with CachePeer(root=tmp_path / "peer", secret="secret") as peer:
+            conn = http.client.HTTPConnection("127.0.0.1", peer.port, timeout=10)
+            try:
+                # http.client sends header values as latin-1; the peer
+                # decodes them back to the non-ASCII str "\u00e9".
+                conn.request("GET", "/stats",
+                             headers={"Authorization": f"{auth.HTTP_SCHEME} \u00e9"})
+                status = conn.getresponse().status
+            finally:
+                conn.close()
+            assert status == 401
+            assert peer.stats_payload()["auth_rejected"] == 1
 
 
 class TestPriorities:
