@@ -50,7 +50,7 @@ def _spawn_worker(index: int, base: Path, fe_port: int) -> subprocess.Popen:
     cmd = [
         sys.executable, "-m", "repro.cli", "worker",
         "--join", f"127.0.0.1:{fe_port}", "--port", "0",
-        "--workers", "2", "--mode", "thread", "--max-delay-ms", "1.0",
+        "--workers", "2", "--mode", "thread",
         "--cache-dir", str(base / f"w{index}" / "cache"),
         "--worker-id", f"bench-w{index}", "--secret", SECRET,
     ]

@@ -31,7 +31,7 @@ from repro.serve import ServeConfig, ServerHandle, default_mix, run_load
 
 def _serve_passes(requests: int, scale: str, duration: float) -> dict:
     config = ServeConfig(
-        port=0, workers=2, mode="thread", max_delay_ms=2.0,
+        port=0, workers=2, mode="thread",
         cache_dir=tempfile.mkdtemp(prefix="repro-bench-serve-"))
     mix = default_mix(requests, scale=scale)
     with ServerHandle(config) as handle:

@@ -478,7 +478,6 @@ def _serve_config_from(args: argparse.Namespace) -> "object":
         raise SystemExit("--remote-cache rides the local cache; drop --no-cache")
     return ServeConfig(
         host=args.host, port=args.port, workers=args.workers, mode=args.mode,
-        max_batch=args.max_batch, max_delay_ms=args.max_delay_ms,
         cache_dir=args.cache_dir, cache_enabled=not args.no_cache,
         cache_max_bytes=(int(args.cache_budget_mb * 1024 * 1024)
                          if args.cache_budget_mb is not None else None),
@@ -691,8 +690,7 @@ def cmd_bench_serve(args: argparse.Namespace) -> int:
         cache_dir = args.cache_dir or stack.enter_context(
             tempfile.TemporaryDirectory(prefix="repro-bench-serve-"))
         config = ServeConfig(
-            port=0, workers=args.workers, mode=args.mode, max_batch=args.max_batch,
-            max_delay_ms=args.max_delay_ms, cache_dir=cache_dir)
+            port=0, workers=args.workers, mode=args.mode, cache_dir=cache_dir)
         with ServerHandle(config) as handle:
             cold = run_load("127.0.0.1", handle.port, mix, concurrency=args.concurrency)
             warm = run_load("127.0.0.1", handle.port, mix, concurrency=args.concurrency)
@@ -742,8 +740,7 @@ def cmd_bench_serve(args: argparse.Namespace) -> int:
     ]
     print(format_table(headers, rows))
     print(f"\nwarm/cold throughput: {speedup:.1f}x  "
-          f"(workers={args.workers} mode={args.mode} batch<={args.max_batch} "
-          f"delay<={args.max_delay_ms}ms concurrency={args.concurrency})")
+          f"(workers={args.workers} mode={args.mode} concurrency={args.concurrency})")
     if args.verify:
         print(f"parity: {parity['checked']} response(s) checked, "
               f"{parity['mismatches']} mismatch(es)")
@@ -962,10 +959,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker shards (one process/thread each)")
         p.add_argument("--mode", default="process", choices=("process", "thread"),
                        help="shard worker kind")
-        p.add_argument("--max-batch", type=int, default=8,
-                       help="micro-batcher size trigger")
-        p.add_argument("--max-delay-ms", type=float, default=2.0,
-                       help="micro-batcher time trigger (ms)")
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--no-cache", action="store_true",
                        help="compute every request, never consult the cache")
@@ -1048,8 +1041,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="closed-loop client workers")
     bench.add_argument("--workers", type=int, default=2, help="server worker shards")
     bench.add_argument("--mode", default="process", choices=("process", "thread"))
-    bench.add_argument("--max-batch", type=int, default=8)
-    bench.add_argument("--max-delay-ms", type=float, default=2.0)
     bench.add_argument("--scale", default="full", choices=("smoke", "full"),
                        help="request-mix weight (smoke = lenet-only, CI-cheap)")
     bench.add_argument("--duration", type=float, default=None, metavar="SECONDS",

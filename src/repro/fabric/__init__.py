@@ -11,8 +11,8 @@ consistent-hash ring of **workers** (:class:`WorkerNode` — each a full
 
 The pieces (each its own module):
 
-* :mod:`repro.fabric.ring` — the consistent-hash ring
-  (:class:`~repro.serve.ShardRouter` is now a façade over it);
+* :mod:`repro.fabric.ring` — the consistent-hash ring (it also places
+  keys on the local shards of :class:`~repro.serve.ShardPool`);
 * :mod:`repro.fabric.auth` — HMAC signing/verification, priorities;
 * :mod:`repro.fabric.admission` — token buckets + queue-depth ladder;
 * :mod:`repro.fabric.membership` — worker registry, heartbeats, ring

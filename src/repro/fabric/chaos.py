@@ -306,7 +306,7 @@ class ChaosCluster:
         cmd = [
             sys.executable, "-m", "repro.cli", "worker",
             "--join", f"127.0.0.1:{self.frontend.port}", "--port", "0",
-            "--workers", "2", "--mode", "thread", "--max-delay-ms", "1.0",
+            "--workers", "2", "--mode", "thread",
             "--worker-id", worker.worker_id,
             "--cache-dir", str(self.base / worker.worker_id / "cache"),
             "--remote-cache", self.peer.url,

@@ -1,12 +1,10 @@
 """Consistent-hash ring over named nodes, with membership churn.
 
-The network generalization of :class:`repro.serve.ShardRouter`: where
-the shard router maps keys onto a *fixed* count of local executors, a
-:class:`HashRing` maps keys onto an arbitrary, *changing* set of named
-nodes (remote workers joining and leaving a fabric).  Same mechanics —
-every node contributes ``replicas`` virtual points, a key routes to the
-first point clockwise of its own hash — and therefore the same two
-load-bearing properties:
+A :class:`HashRing` maps keys onto an arbitrary, *changing* set of
+named nodes (remote workers joining and leaving a fabric).  Every node
+contributes ``replicas`` virtual points, and a key routes to the first
+point clockwise of its own hash, which gives two load-bearing
+properties:
 
 * **stability** — a key's owner never changes while the member set
   holds, so each worker's process-level memos (compiled table programs,
@@ -16,11 +14,11 @@ load-bearing properties:
   it its warmth.  (Pinned by the hypothesis suite in
   ``tests/fabric/test_ring.py``.)
 
-Node names are arbitrary strings (worker ids).  The point label scheme
-``"<node>:<replica>"`` matches the shard router's historical labels
-exactly, so ``ShardRouter`` is now a thin façade over a ring whose
-nodes are ``"shard-0" .. "shard-{N-1}"`` — one routing implementation,
-two scales.
+Node names are arbitrary strings (worker ids), and point labels are
+``"<node>:<replica>"``.  :class:`repro.serve.ShardPool` places keys on
+its fixed set of local executors with a ring whose nodes are
+``"shard-0" .. "shard-{N-1}"`` — one routing implementation, two
+scales.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """A fabric worker: a serve process that joins a front-end's fleet.
 
 :class:`WorkerNode` wraps the existing :class:`repro.serve.ServerHandle`
-— endpoints, micro-batching, shard pool, and tiered cache all reused
+— endpoints, single-flight, shard pool, and tiered cache all reused
 verbatim — and adds the *membership agent*: a daemon thread that joins
 the front-end on start, heartbeats on a fraction of the front-end's
 eviction timeout, re-joins when a heartbeat answer says the front-end

@@ -174,8 +174,12 @@ class AsyncServeClient:
         than an exception.
 
         Raises:
-            ConnectionError: if the connection dropped before the reply.
+            ConnectionError: if the connection dropped before the reply,
+                or had already dropped (the dispatcher has exited, so
+                nothing would ever answer).
         """
+        if self._reader_task.done():
+            raise ConnectionError("connection closed")
         self._next_id += 1
         rid = self._next_id
         future: asyncio.Future = asyncio.get_running_loop().create_future()
@@ -188,6 +192,10 @@ class AsyncServeClient:
             response: Response = await future
         finally:
             self._pending.pop(rid, None)
+            if future.done() and not future.cancelled():
+                # aclose() may have failed the future while drain() was
+                # suspended; if drain() then raised, nobody awaited it.
+                future.exception()
         return response
 
     async def request(self, endpoint: str, **kwargs) -> Response:

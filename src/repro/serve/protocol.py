@@ -62,11 +62,11 @@ def decode_message(line: bytes) -> dict:
     """Parse one wire line into a message dict.
 
     Raises:
-        ProtocolError: if the line is not a JSON object.
+        ProtocolError: if the line is not UTF-8 JSON or not an object.
     """
     try:
         payload = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ProtocolError(f"bad JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ProtocolError(f"expected a JSON object, got {type(payload).__name__}")

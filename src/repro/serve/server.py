@@ -5,12 +5,12 @@ Request lifecycle (see ``docs/architecture.md`` for the full diagram)::
     client line -> decode -> resolve endpoint -> cache key
         cache hit  -> respond immediately (no worker touched)
         in flight  -> await the existing computation (single-flight)
-        cache miss -> micro-batcher -> consistent-hash shard -> worker
+        cache miss -> consistent-hash shard -> fn(**kwargs) on its worker
                       -> cache.put -> respond
 
 Sockets, pipelining, HMAC and the request envelope come from
 :class:`repro.serve.lineserver.LineServer`; this module adds only the
-cache fast path and the shard fan-out behind :meth:`Server.dispatch`.
+cache fast path and the shard dispatch behind :meth:`Server.dispatch`.
 """
 
 from __future__ import annotations
@@ -24,10 +24,8 @@ from repro.fabric.tls import TLSConfig
 from repro.runtime.cache import MISS, ResultCache, fn_identity
 from repro.runtime.tiers import TieredCache
 from repro.serve import endpoints as endpoints_mod
-from repro.serve.batcher import MicroBatcher
 from repro.serve.lineserver import LineServer, LineStats, LoopHandle
 from repro.serve.protocol import to_jsonable
-from repro.serve.router import ShardRouter
 from repro.serve.shards import MODES, ShardPool
 
 
@@ -41,8 +39,6 @@ class ServeConfig:
             port is on ``Server.port`` / ``ServerHandle.port``).
         workers: shard count — one single-worker executor per shard.
         mode: ``"process"`` or ``"thread"`` shard workers.
-        max_batch: micro-batcher size trigger.
-        max_delay_ms: micro-batcher time trigger, in milliseconds.
         cache_dir: result-cache directory (``None`` = the default cache
             resolution of :func:`repro.runtime.cache.default_cache_dir`).
         cache_enabled: disable to force every request through a worker.
@@ -79,8 +75,6 @@ class ServeConfig:
     port: int = 8537
     workers: int = 2
     mode: str = "process"
-    max_batch: int = 8
-    max_delay_ms: float = 2.0
     cache_dir: str | None = None
     cache_enabled: bool = True
     cache_max_bytes: int | None = None
@@ -104,7 +98,7 @@ class ServeStats(LineStats):
     hits: int = 0
     misses: int = 0
     coalesced: int = 0
-    batches: int = 0
+    batches: int = 0  # shard dispatches: one per computed miss
     per_shard: dict = field(default_factory=dict)
 
     def snapshot(self) -> dict:
@@ -113,20 +107,8 @@ class ServeStats(LineStats):
         return {**super().snapshot(), "hit_rate": self.hits / served if served else 0.0}
 
 
-@dataclass
-class _Pending:
-    """One cache miss queued for a shard: key, call, and its waiter."""
-
-    key: str
-    fn: object
-    kwargs: dict
-    fn_name: str
-    future: asyncio.Future
-    shard: int = 0
-
-
 class Server(LineServer):
-    """The asyncio serving loop: cache fast path and shard fan-out.
+    """The asyncio serving loop: cache fast path and shard dispatch.
 
     Args:
         config: see :class:`ServeConfig`.
@@ -153,23 +135,17 @@ class Server(LineServer):
         else:
             self.cache = ResultCache(
                 root=self.config.cache_dir, max_bytes=self.config.cache_max_bytes)
-        self.router = ShardRouter(self.config.workers)
         self.pool = ShardPool(self.config.workers, mode=self.config.mode)
-        self.batcher = MicroBatcher(
-            self._flush_batch,
-            max_batch=self.config.max_batch,
-            max_delay=self.config.max_delay_ms / 1000.0,
-        )
         self.programs_prewarmed: dict | None = None
         # Optional callable merged into stats_snapshot(): a wrapper
         # (e.g. a fabric WorkerNode) exposes its own gauges over the
         # wire ``_stats`` endpoint without the server knowing about it.
         self.extra_stats = None
         self._program_tier = None
-        self._inflight: dict[str, asyncio.Future] = {}
+        self._inflight: dict[str, asyncio.Task] = {}
         # Strong references: the loop only weakly references tasks, so
-        # an un-retained shard task could be garbage-collected mid-batch
-        # and leave every future in that batch unresolved.
+        # an un-retained shard task could be garbage-collected mid-call
+        # and leave its requester and coalesced twins unanswered.
         self._shard_tasks: set[asyncio.Task] = set()
 
     def stats_snapshot(self) -> dict:
@@ -230,9 +206,8 @@ class Server(LineServer):
         await super().start()
 
     async def aclose(self) -> None:
-        """Stop accepting, drop open connections, flush, stop the pool."""
+        """Stop accepting, drop open connections, finish in-flight misses, stop the pool."""
         await super().aclose()
-        await self.batcher.aclose()
         if self._shard_tasks:
             await asyncio.gather(*self._shard_tasks, return_exceptions=True)
         self.pool.shutdown()
@@ -284,82 +259,52 @@ class Server(LineServer):
                 value = await asyncio.shield(existing)
                 self.stats.coalesced += 1
                 return self._ok(rid, to_jsonable(value), started, coalesced=True)
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
+        shard = self.pool.shard_for(key or repr((name, sorted(kwargs.items()))))
+        self.stats.misses += 1
+        self.stats.batches += 1
+        self.stats.per_shard[shard] = self.stats.per_shard.get(shard, 0) + 1
+        task = asyncio.ensure_future(self._compute(shard, key, fn, kwargs))
+        self._shard_tasks.add(task)
         if key is not None:
-            self._inflight[key] = future
             # The entry lives until the computation resolves — NOT until
             # this requester stops waiting: if the requester disconnects
             # mid-compute, later identical requests must still coalesce
             # onto the running computation instead of launching a twin.
-            future.add_done_callback(self._inflight_cleanup(key))
-        pending = _Pending(
-            key=key or "", fn=fn, kwargs=kwargs,
-            fn_name=fn_identity(fn), future=future)
-        shard = self.router.route(key or repr((name, sorted(kwargs.items()))))
-        self.stats.misses += 1
-        self.stats.per_shard[shard] = self.stats.per_shard.get(shard, 0) + 1
-        pending.shard = shard
-        await self.batcher.submit(pending)
+            self._inflight[key] = task
+        task.add_done_callback(self._shard_task_done(key))
         # Shielded: if this requester disconnects mid-compute, its task
-        # cancellation must not cancel the shared future that coalesced
-        # requests are awaiting (and that _run_shard will resolve).
-        value = await asyncio.shield(future)
+        # cancellation must not cancel the shared task that coalesced
+        # requests are awaiting.
+        value = await asyncio.shield(task)
         return self._ok(rid, to_jsonable(value), started, shard=shard)
 
-    def _inflight_cleanup(self, key: str):
-        """Done-callback dropping ``key``'s in-flight entry (same future only)."""
-        def _cleanup(future: asyncio.Future) -> None:
-            if self._inflight.get(key) is future:
+    async def _compute(self, shard: int, key: str | None, fn, kwargs: dict):
+        """Run one miss on its shard, then write the cache, then return."""
+        value = await self.pool.run_on_shard(shard, fn, kwargs)
+        if key is not None:
+            # The write-back runs off the loop (disk I/O, and possibly an
+            # LRU eviction sweep) *before* the value returns, so an
+            # immediate repeat request is a guaranteed hit.  A failure is
+            # tolerated: the cache is a memo, not the source of truth.
+            try:
+                await asyncio.get_running_loop().run_in_executor(
+                    None, partial(self.cache.put, key, value, fn=fn_identity(fn)))
+            except Exception:
+                pass
+        return value
+
+    def _shard_task_done(self, key: str | None):
+        """Done-callback releasing a shard task and its in-flight entry."""
+        def _done(task: asyncio.Task) -> None:
+            self._shard_tasks.discard(task)
+            if key is not None and self._inflight.get(key) is task:
                 del self._inflight[key]
-            if not future.cancelled():
+            if not task.cancelled():
                 # Mark a failure retrieved even when every requester has
                 # hung up (waiters read their own shield-copies), so the
                 # loop doesn't log "exception was never retrieved".
-                future.exception()
-        return _cleanup
-
-    async def _flush_batch(self, batch: list) -> None:
-        self.stats.batches += 1
-        by_shard: dict[int, list[_Pending]] = {}
-        for pending in batch:
-            by_shard.setdefault(pending.shard, []).append(pending)
-        for shard, group in by_shard.items():
-            task = asyncio.ensure_future(self._run_shard(shard, group))
-            self._shard_tasks.add(task)
-            task.add_done_callback(self._shard_tasks.discard)
-
-    async def _run_shard(self, shard: int, group: list) -> None:
-        loop = asyncio.get_running_loop()
-        calls = [(p.fn, p.kwargs) for p in group]
-        try:
-            outcomes = await self.pool.run_on_shard(shard, calls)
-        except Exception as exc:  # pool-level failure (broken worker)
-            for pending in group:
-                if not pending.future.done():
-                    pending.future.set_exception(exc)
-            return
-        if self.cache is not None:
-            # Write-backs run concurrently off the loop (disk I/O, and
-            # possibly an LRU eviction sweep), *before* the futures
-            # resolve so an immediate repeat request is a guaranteed
-            # hit.  Failures are tolerated — the cache is a memo, not
-            # the source of truth — and must never leave a future
-            # unresolved.
-            writes = [
-                loop.run_in_executor(
-                    None, partial(self.cache.put, p.key, v, fn=p.fn_name))
-                for p, (ok, v) in zip(group, outcomes) if ok and p.key
-            ]
-            if writes:
-                await asyncio.gather(*writes, return_exceptions=True)
-        for pending, (ok, value) in zip(group, outcomes):
-            if pending.future.done():
-                continue
-            if ok:
-                pending.future.set_result(value)
-            else:
-                pending.future.set_exception(value)
+                task.exception()
+        return _done
 
     def _ok(self, rid: int, value, started: float, cached: bool = False,
             coalesced: bool = False, shard: int | None = None) -> dict:

@@ -1,11 +1,14 @@
 """The shard pool: one single-worker executor per shard.
 
-A *shard* is one worker with its own warm state.  Giving every shard a
-dedicated single-worker executor (rather than one N-worker pool) is
-what makes the consistent-hash routing meaningful: a key's batch always
-runs on the same OS process/thread, so per-process memos built
-computing that key stay resident for the next request that hashes to
-it.
+A *shard* is one worker with its own warm state.  Keys are placed on
+shards by a consistent-hash ring (:class:`repro.fabric.ring.HashRing`
+over the nodes ``"shard-0" .. "shard-{N-1}"``), and every shard has a
+dedicated single-worker executor rather than one N-worker pool, so a
+key always runs on the same OS process/thread and the per-process
+memos built computing it (e.g. the per-(provider, layer) weight tensors
+of :func:`repro.experiments.common.layer_weights`) stay resident for
+the next request that hashes to it.  It also keeps each shard process's
+memory bounded by the keys it owns.
 
 Two modes:
 
@@ -21,8 +24,11 @@ from __future__ import annotations
 
 import asyncio
 import signal
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from functools import partial
+
+from repro.fabric.ring import HashRing
 
 #: Accepted shard pool modes.
 MODES = ("process", "thread")
@@ -32,30 +38,10 @@ def _ignore_sigint() -> None:
     """Process-shard initializer: Ctrl-C belongs to the server process.
 
     A foreground Ctrl-C is delivered to the whole process group; without
-    this, every shard worker dies mid-batch with a KeyboardInterrupt
+    this, every shard worker dies mid-call with a KeyboardInterrupt
     traceback instead of letting the pool shut down cleanly.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
-def run_batch(calls: Sequence[tuple[Callable, Mapping]]) -> list:
-    """Execute a batch of ``(fn, kwargs)`` calls in order.
-
-    Module-level so a whole batch pickles into a worker process as one
-    submission — the IPC cost is paid per *batch*, not per request.
-
-    Returns:
-        one ``(ok, value_or_exception)`` pair per call.  Failures are
-        captured per item so one bad request cannot poison the other
-        requests co-batched onto the same shard.
-    """
-    outcomes: list[tuple[bool, object]] = []
-    for fn, kwargs in calls:
-        try:
-            outcomes.append((True, fn(**dict(kwargs))))
-        except Exception as exc:
-            outcomes.append((False, exc))
-    return outcomes
 
 
 class ShardPool:
@@ -73,6 +59,7 @@ class ShardPool:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         self.num_shards = num_shards
         self.mode = mode
+        self._ring = HashRing(f"shard-{i}" for i in range(num_shards))
         self._executors: list[Executor] = [
             ProcessPoolExecutor(max_workers=1, initializer=_ignore_sigint)
             if mode == "process"
@@ -80,17 +67,16 @@ class ShardPool:
             for i in range(num_shards)
         ]
 
-    async def run_on_shard(self, shard: int, calls: Sequence[tuple[Callable, Mapping]]) -> list:
-        """Run one batch on one shard.
+    def shard_for(self, key: str) -> int:
+        """The shard owning ``key`` (deterministic across instances)."""
+        return int(self._ring.route(key).removeprefix("shard-"))
 
-        Returns:
-            ``(ok, value_or_exception)`` pairs in call order (see
-            :func:`run_batch`).
-        """
+    async def run_on_shard(self, shard: int, fn: Callable, kwargs: Mapping) -> object:
+        """Run ``fn(**kwargs)`` on one shard; the worker's exception propagates."""
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._executors[shard], run_batch, list(calls))
+        return await loop.run_in_executor(self._executors[shard], partial(fn, **kwargs))
 
     def shutdown(self) -> None:
-        """Stop every shard executor (waits for in-flight batches)."""
+        """Stop every shard executor (waits for in-flight calls)."""
         for executor in self._executors:
             executor.shutdown(wait=True)

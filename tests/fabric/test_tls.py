@@ -77,7 +77,7 @@ def tls_cluster(tmp_path):
         port=0, heartbeat_timeout=5.0, auth_secret=SECRET,
         tls=FLEET_TLS)).start()
     worker = WorkerNode(
-        ServeConfig(port=0, workers=2, mode="thread", max_delay_ms=1.0,
+        ServeConfig(port=0, workers=2, mode="thread",
                     cache_dir=str(tmp_path / "cache"), auth_secret=SECRET,
                     tls=FLEET_TLS),
         "127.0.0.1", fe.port, worker_id="tls-w0")

@@ -2,7 +2,7 @@
 
 These run a real TCP server (thread-mode shards, ephemeral port) and
 talk to it with the real clients, so they cover the wire protocol, the
-batcher, the router, and the cache fast path together.
+shard dispatch, single-flight, and the cache fast path together.
 """
 
 import json
@@ -38,7 +38,7 @@ def bad_payload() -> bytes:
 
 def make_config(tmp_path, **overrides) -> ServeConfig:
     defaults = dict(port=0, workers=2, mode="thread",
-                    cache_dir=str(tmp_path / "cache"), max_delay_ms=1.0)
+                    cache_dir=str(tmp_path / "cache"))
     defaults.update(overrides)
     return ServeConfig(**defaults)
 
@@ -198,13 +198,13 @@ class TestCacheBehaviour:
         assert not first.cached and not second.cached
         assert first.value == second.value
 
-    def test_batched_error_does_not_poison_neighbors(self, tmp_path):
-        """One failing request must not fail others in the same batch."""
+    def test_concurrent_misses_on_one_shard_fail_independently(self, tmp_path):
+        """One failing miss must not fail another running on the same shard."""
         import asyncio
 
         from repro.serve import AsyncServeClient
 
-        config = make_config(tmp_path, workers=1, max_batch=2, max_delay_ms=200.0)
+        config = make_config(tmp_path, workers=1)
 
         async def scenario(port):
             good_client = await AsyncServeClient.connect(port=port)
@@ -232,7 +232,7 @@ class TestCacheBehaviour:
 
         from repro.serve import AsyncServeClient
 
-        config = make_config(tmp_path, workers=1, max_batch=1)
+        config = make_config(tmp_path, workers=1)
 
         async def scenario(port):
             owner = await AsyncServeClient.connect(port=port)
@@ -256,7 +256,7 @@ class TestCacheBehaviour:
 
     def test_single_flight_coalesces_identical_misses(self, tmp_path):
         """Concurrent identical cold requests compute once, not N times."""
-        config = make_config(tmp_path, workers=1, max_batch=1)
+        config = make_config(tmp_path, workers=1)
         mix = [("slow_echo", {"value": 7.0, "seconds": 0.2})] * 6
         with ServerHandle(config) as handle:
             result = run_load("127.0.0.1", handle.port, mix, concurrency=6)
@@ -269,6 +269,46 @@ class TestCacheBehaviour:
         assert stats["coalesced"] + stats["hits"] == 5
 
 
+    def test_stop_finishes_an_in_flight_miss_and_its_cache_write(self, tmp_path):
+        """Shutdown awaits a running miss, so its result is cached for the restart."""
+        import asyncio
+
+        from repro.serve import AsyncServeClient
+
+        kwargs = {"value": 5.0, "seconds": 0.3}
+        first = ServerHandle(make_config(tmp_path, workers=1))
+        first.start()
+
+        async def send_then_stop(port):
+            client = await AsyncServeClient.connect(port=port)
+            request = asyncio.ensure_future(client.request("slow_echo", **kwargs))
+            try:
+                while first.stats()["misses"] < 1:
+                    await asyncio.sleep(0.01)
+                await asyncio.get_running_loop().run_in_executor(None, first.stop)
+            finally:
+                request.cancel()
+                await asyncio.gather(request, return_exceptions=True)
+                await client.aclose()
+
+        asyncio.run(send_then_stop(first.port))
+        with ServerHandle(make_config(tmp_path, workers=1)) as second:
+            with ServeClient(port=second.port) as client:
+                warm = client.request("slow_echo", **kwargs)
+            stats = second.stats()
+        assert warm.cached and warm.value == 5.0
+        assert stats["misses"] == 0
+
+    def test_miss_reply_names_the_shard_that_computed_it(self, tmp_path):
+        with ServerHandle(make_config(tmp_path, workers=4)) as handle:
+            with ServeClient(port=handle.port) as client:
+                cold = client.request("slow_echo", value=2.0, seconds=0.0)
+                warm = client.request("slow_echo", value=2.0, seconds=0.0)
+            stats = handle.stats()
+        assert cold.shard in range(4) and warm.shard is None
+        assert {int(k): v for k, v in stats["per_shard"].items()} == {cold.shard: 1}
+
+
 class TestStats:
     def test_counters_add_up(self, server):
         mix = default_mix(25)
@@ -278,6 +318,8 @@ class TestStats:
         assert stats["hits"] + stats["misses"] + stats["coalesced"] == 25
         assert stats["misses"] >= 1
         assert sum(stats["per_shard"].values()) == stats["misses"]
+        # Every computed miss is exactly one shard dispatch.
+        assert stats["batches"] == stats["misses"]
 
 
 class TestProgramPrewarm:

@@ -77,12 +77,19 @@ def _json(obj) -> bytes:
 #: (name, raw line, expected error substring, expected reply id).
 MALFORMED = [
     ("bad-json", b'{"id": 1, "endpoint": ', "bad JSON", -1),
-    ("invalid-utf8", b'{"id": 1, "endpoint": "\xff\xfe"}', None, -1),
+    ("invalid-utf8", b'{"id": 1, "endpoint": "\xff\xfe"}', "bad JSON", -1),
     ("non-object", b"[1, 2, 3]", "expected a JSON object", -1),
     ("missing-endpoint", _json({"id": 5, "kwargs": {}}), "missing 'endpoint'", 5),
     ("non-dict-kwargs", _json({"id": 6, "endpoint": "ping", "kwargs": [1]}),
      "'kwargs' must be an object", 6),
 ]
+
+#: ``_stats`` keys the repo benchmark (``perfbench/serving.py``) reads
+#: from each node type; a missing one fails the whole workload.
+BENCHMARK_STATS_KEYS = {
+    "server": ("hits", "misses", "coalesced", "errors", "batches"),
+    "frontend": ("forwarded", "retries", "spills", "no_workers", "membership.evictions"),
+}
 
 UNAUTHENTICATED = [
     ("missing-auth", {"id": 7, "endpoint": "ping", "kwargs": {}}),
@@ -97,8 +104,7 @@ def test_malformed_line_gets_one_error_and_connection_survives(node, wire, raw, 
     before = node.stats()
     response = wire.reply(raw)
     assert response["ok"] is False and response["id"] == rid
-    if match is not None:
-        assert match in response["error"]
+    assert match in response["error"]
     after = node.stats()
     assert after["errors"] == before["errors"] + 1
     assert after["auth_rejected"] == before["auth_rejected"]
@@ -117,6 +123,18 @@ def test_bad_auth_is_401_counted_as_auth_rejected(node, wire, message):
     assert after["auth_rejected"] == before["auth_rejected"] + 1
     assert after["errors"] == before["errors"]
     wire.assert_alive()
+
+
+def test_wire_stats_carry_the_benchmark_keys(node, wire):
+    message = sign_message(SECRET, {"id": 11, "endpoint": "_stats", "kwargs": {}})
+    response = wire.reply(encode_message(message).rstrip(b"\n"))
+    assert response["ok"] is True
+    kind = "frontend" if isinstance(node, FrontendHandle) else "server"
+    for name in BENCHMARK_STATS_KEYS[kind]:
+        value = response["value"]
+        for part in name.split("."):
+            value = value[part]
+        assert isinstance(value, int), name
 
 
 def test_oversize_line_gets_one_error_then_close(node, wire):
